@@ -23,7 +23,7 @@ final class PrecompUniformSynopsis(
       k.toLong * (root.bounds.dims + 1L) * 8L
 
   /** Moments of the uniform sample restricted to the gap `q \ cover`. */
-  private def gapMoments(q: Rect, cover: Seq[TreeNode]): SampleStats.Moments = {
+  private def gapMoments(q: Rect, cover: Seq[TreeNode]): Moments = {
     var i = 0; var kM = 0; var s1 = 0.0; var s2 = 0.0
     var mn = Double.PositiveInfinity; var mx = Double.NegativeInfinity
     while (i < sampleValues.length) {
@@ -36,7 +36,7 @@ final class PrecompUniformSynopsis(
       }
       i += 1
     }
-    SampleStats.Moments(sampleValues.length, kM, s1, s2, mn, mx)
+    Moments(sampleValues.length, kM, s1, s2, mn, mx)
   }
 
   def answer(q: Rect, agg: Agg): Estimate = {
@@ -61,7 +61,7 @@ final class PrecompUniformSynopsis(
 
     agg match {
       case Agg.Sum =>
-        val (gapEst, se2) = scaled(m.s1, m.s2)
+        val (gapEst, se2) = scaled(m.sumMatch, m.sumSqMatch)
         Estimate(coverSum + gapEst, lambda * math.sqrt(se2), processedSamples = m.ki.toLong.max(k))
       case Agg.Count =>
         val (gapEst, se2) = scaled(m.kMatch.toDouble, m.kMatch.toDouble)
@@ -71,22 +71,22 @@ final class PrecompUniformSynopsis(
         val estCnt = coverCnt + gapCnt
         if (estCnt == 0) Estimate(Double.NaN, Double.NaN, processedSamples = k)
         else {
-          val gapMean = if (m.kMatch == 0) 0.0 else m.s1 / m.kMatch
+          val gapMean = if (m.kMatch == 0) 0.0 else m.sumMatch / m.kMatch
           val value   = (coverSum + gapCnt * gapMean) / estCnt
           val varM =
             if (m.kMatch == 0) 0.0
-            else math.max(0.0, m.s2 / m.kMatch - gapMean * gapMean)
+            else math.max(0.0, m.sumSqMatch / m.kMatch - gapMean * gapMean)
           val w   = gapCnt / estCnt
           val se2 = if (m.kMatch == 0) 0.0 else w * w * varM / m.kMatch
           Estimate(value, lambda * math.sqrt(se2), processedSamples = k)
         }
       case Agg.Min =>
         val cm  = f.cover.iterator.map(_.min).foldLeft(Double.PositiveInfinity)(math.min)
-        val est = if (m.kMatch > 0) math.min(cm, m.mn) else cm
+        val est = if (m.kMatch > 0) math.min(cm, m.minMatch) else cm
         Estimate(est, Double.NaN, processedSamples = k)
       case Agg.Max =>
         val cm  = f.cover.iterator.map(_.max).foldLeft(Double.NegativeInfinity)(math.max)
-        val est = if (m.kMatch > 0) math.max(cm, m.mx) else cm
+        val est = if (m.kMatch > 0) math.max(cm, m.maxMatch) else cm
         Estimate(est, Double.NaN, processedSamples = k)
     }
   }

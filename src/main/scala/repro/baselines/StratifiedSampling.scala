@@ -20,16 +20,16 @@ final class StratifiedSampleSynopsis(private val pass: PassSynopsis) extends Ser
     val overlapping = pass.leaves.filter(l => !l.bounds.disjoint(q) && l.count > 0)
     var processed = 0L
     val strata = overlapping.map { l =>
-      val s = pass.samples(l.leafId)
-      processed += s.size
-      (l, SampleStats.moments(s.coords, s.values, q))
+      val m = pass.leafMoments(l.leafId, q)
+      processed += m.ki
+      (l, m)
     }
     agg match {
       case Agg.Sum | Agg.Count =>
         var est = 0.0; var variance = 0.0
         for ((l, m) <- strata if m.ki > 0) {
-          val s1   = if (agg == Agg.Count) m.kMatch.toDouble else m.s1
-          val s2   = if (agg == Agg.Count) m.kMatch.toDouble else m.s2
+          val s1   = if (agg == Agg.Count) m.kMatch.toDouble else m.sumMatch
+          val s2   = if (agg == Agg.Count) m.kMatch.toDouble else m.sumSqMatch
           val mean = s1 / m.ki
           val varPhi = math.max(0.0, s2 / m.ki - mean * mean)
           est += l.count.toDouble / m.ki * s1
@@ -41,8 +41,8 @@ final class StratifiedSampleSynopsis(private val pass: PassSynopsis) extends Ser
         val terms = scala.collection.mutable.ArrayBuffer.empty[(Double, Double, Int)]
         for ((l, m) <- strata if m.ki > 0 && m.kMatch > 0) {
           val cHat = l.count.toDouble * m.kMatch / m.ki
-          val mean = m.s1 / m.kMatch
-          val varM = math.max(0.0, m.s2 / m.kMatch - mean * mean)
+          val mean = m.sumMatch / m.kMatch
+          val varM = math.max(0.0, m.sumSqMatch / m.kMatch - mean * mean)
           estSum += cHat * mean; estCnt += cHat
           terms += ((cHat, varM, m.kMatch))
         }
@@ -52,10 +52,10 @@ final class StratifiedSampleSynopsis(private val pass: PassSynopsis) extends Ser
         }.sum
         Estimate(value, lambda * math.sqrt(se2), processedSamples = processed)
       case Agg.Min =>
-        val mins = strata.collect { case (_, m) if m.kMatch > 0 => m.mn }
+        val mins = strata.collect { case (_, m) if m.kMatch > 0 => m.minMatch }
         Estimate(if (mins.isEmpty) Double.NaN else mins.min, Double.NaN, processedSamples = processed)
       case Agg.Max =>
-        val maxs = strata.collect { case (_, m) if m.kMatch > 0 => m.mx }
+        val maxs = strata.collect { case (_, m) if m.kMatch > 0 => m.maxMatch }
         Estimate(if (maxs.isEmpty) Double.NaN else maxs.max, Double.NaN, processedSamples = processed)
     }
   }

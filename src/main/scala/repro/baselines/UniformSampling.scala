@@ -3,15 +3,13 @@ package repro.baselines
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.DoubleType
-import repro.core.{Agg, Estimate, Rect}
+import repro.core.{Agg, Estimate, Moments, Rect}
 
-/** Shared moment accumulation for the pure-sampling estimators (Sec 2.1/2.2):
-  * matching count / sum / sum-of-squares / extrema of one sample restricted to
-  * a predicate.
+/** Row-by-row moment accumulation over US's single unsorted sample (Sec 2.1):
+  * matching count / sum / sum-of-squares / extrema restricted to a predicate.
+  * Leaf samples use the sorted kernel `LeafSample.moments` instead.
   */
 private[baselines] object SampleStats {
-  final case class Moments(ki: Int, kMatch: Int, s1: Double, s2: Double, mn: Double, mx: Double)
-
   def moments(coords: Array[Array[Double]], values: Array[Double], q: Rect): Moments = {
     var i = 0; var k = 0; var s1 = 0.0; var s2 = 0.0
     var mn = Double.PositiveInfinity; var mx = Double.NegativeInfinity
@@ -50,11 +48,11 @@ final class UniformSampleSynopsis(
     val scale = if (m.ki == 0) 0.0 else totalRows.toDouble / m.ki
     agg match {
       case Agg.Sum =>
-        val mean   = if (m.ki == 0) 0.0 else m.s1 / m.ki
-        val varPhi = if (m.ki == 0) 0.0 else math.max(0.0, m.s2 / m.ki - mean * mean)
+        val mean   = if (m.ki == 0) 0.0 else m.sumMatch / m.ki
+        val varPhi = if (m.ki == 0) 0.0 else math.max(0.0, m.sumSqMatch / m.ki - mean * mean)
         val se2    = SampleStats.fpc(totalRows, m.ki) *
           totalRows.toDouble * totalRows * varPhi / math.max(1, m.ki)
-        Estimate(scale * m.s1, lambda * math.sqrt(se2), processedSamples = m.ki)
+        Estimate(scale * m.sumMatch, lambda * math.sqrt(se2), processedSamples = m.ki)
       case Agg.Count =>
         val mean   = if (m.ki == 0) 0.0 else m.kMatch.toDouble / m.ki
         val varPhi = math.max(0.0, mean - mean * mean)
@@ -63,15 +61,15 @@ final class UniformSampleSynopsis(
       case Agg.Avg =>
         if (m.kMatch == 0) Estimate(Double.NaN, Double.NaN, processedSamples = m.ki)
         else {
-          val mean = m.s1 / m.kMatch
-          val varM = math.max(0.0, m.s2 / m.kMatch - mean * mean)
+          val mean = m.sumMatch / m.kMatch
+          val varM = math.max(0.0, m.sumSqMatch / m.kMatch - mean * mean)
           val se2  = SampleStats.fpc(totalRows, m.kMatch) * varM / m.kMatch
           Estimate(mean, lambda * math.sqrt(se2), processedSamples = m.ki)
         }
       case Agg.Min =>
-        Estimate(if (m.kMatch == 0) Double.NaN else m.mn, Double.NaN, processedSamples = m.ki)
+        Estimate(if (m.kMatch == 0) Double.NaN else m.minMatch, Double.NaN, processedSamples = m.ki)
       case Agg.Max =>
-        Estimate(if (m.kMatch == 0) Double.NaN else m.mx, Double.NaN, processedSamples = m.ki)
+        Estimate(if (m.kMatch == 0) Double.NaN else m.maxMatch, Double.NaN, processedSamples = m.ki)
     }
   }
 }

@@ -4,8 +4,6 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.DoubleType
 
-import scala.collection.mutable
-
 /** Builds a [[PassSynopsis]] from a DataFrame with Spark doing all full-data
   * passes, per the construction pipeline of Sec 3.2/4:
   *
@@ -104,6 +102,28 @@ object PassBuilder {
     lo
   }
 
+  /** Groups collected sample rows (the `d` predicate columns, the aggregate
+    * column, then the leaf id) into one [[LeafSample]] per leaf id in
+    * `[0, leafCount)`: a counting pass sizes each leaf's column buffers, a
+    * second pass fills them, and `LeafSample` sorts each leaf on column 0.
+    */
+  private[core] def leafSamples(rows: Array[Row], d: Int, leafCount: Int): Array[LeafSample] = {
+    val sizes = new Array[Int](leafCount)
+    for (r <- rows) sizes(r.getInt(d + 1)) += 1
+    val cols   = Array.tabulate(leafCount)(id => Array.ofDim[Double](d, sizes(id)))
+    val values = Array.tabulate(leafCount)(id => new Array[Double](sizes(id)))
+    val next   = new Array[Int](leafCount)
+    for (r <- rows) {
+      val id = r.getInt(d + 1)
+      val i  = next(id)
+      var j  = 0
+      while (j < d) { cols(id)(j)(i) = r.getDouble(j); j += 1 }
+      values(id)(i) = r.getDouble(d)
+      next(id) = i + 1
+    }
+    Array.tabulate(leafCount)(id => LeafSample(cols(id), values(id)))
+  }
+
   def build(
       df: DataFrame,
       predCols: Seq[String],
@@ -194,18 +214,7 @@ object PassBuilder {
       }.toMap
 
       val sampledRows = withLeaf.stat.sampleBy("__leaf", fractions, seed + 1).collect()
-      val byLeaf = mutable.Map.empty[Int, (mutable.ArrayBuffer[Array[Double]], mutable.ArrayBuffer[Double])]
-      for (r <- sampledRows) {
-        val id  = r.getAs[Int]("__leaf")
-        val buf = byLeaf.getOrElseUpdate(id, (mutable.ArrayBuffer.empty, mutable.ArrayBuffer.empty))
-        buf._1 += Array.tabulate(d)(r.getDouble)
-        buf._2 += r.getDouble(d)
-      }
-      val samples = Array.tabulate(leaves.length) { id =>
-        byLeaf.get(id)
-          .map { case (cs, vs) => LeafSample(cs.toArray, vs.toArray) }
-          .getOrElse(LeafSample.empty)
-      }
+      val samples     = leafSamples(sampledRows, d, leaves.length)
 
       val synopsis = new PassSynopsis(tree, leaves, samples, p.totalRows, lambda, zeroVarRule)
       BuildResult(synopsis, (System.nanoTime() - t0) / 1000000L, sampleRows.length, partValue)

@@ -1,13 +1,151 @@
 package repro.core
 
-/** The stratified sample attached to one leaf: predicate coordinates (row-major)
-  * and aggregate values for each sampled tuple.
+/** Moments of one sample restricted to a query: sample size `ki`, matching
+  * rows `kMatch`, and the sum, sum of squares, minimum and maximum of their
+  * aggregate values (±Infinity extrema when nothing matches).
   */
-final case class LeafSample(coords: Array[Array[Double]], values: Array[Double]) {
+final case class Moments(
+    ki: Int, kMatch: Int, sumMatch: Double, sumSqMatch: Double,
+    minMatch: Double, maxMatch: Double) {
+  /** Pools two strata's samples into one. */
+  def +(o: Moments): Moments =
+    Moments(ki + o.ki, kMatch + o.kMatch, sumMatch + o.sumMatch, sumSqMatch + o.sumSqMatch,
+            math.min(minMatch, o.minMatch), math.max(maxMatch, o.maxMatch))
+}
+object Moments {
+  val empty: Moments = Moments(0, 0, 0.0, 0.0, Double.PositiveInfinity, Double.NegativeInfinity)
+}
+
+/** The stratified sample attached to one leaf, stored column-major and sorted
+  * on the first predicate column: `cols(j)(i)` is predicate `j` of sampled
+  * tuple `i` and `values(i)` its aggregate value. Rows are ordered by
+  * `java.lang.Double.compare` on `cols(0)`, so rows whose first coordinate is
+  * NaN come last. The sort lets [[moments]] bound the rows a query's first
+  * predicate admits with two binary searches and scan only that slice.
+  */
+final class LeafSample private (val cols: Array[Array[Double]], val values: Array[Double])
+    extends Serializable {
   def size: Int = values.length
+
+  /** Row view, `coords(i)(j) == cols(j)(i)`; built anew on every call. */
+  def coords: Array[Array[Double]] =
+    Array.tabulate(size)(i => Array.tabulate(cols.length)(j => cols(j)(i)))
+
+  /** Moments of the rows inside `q`: those with `q.lo(j) <= x_j < q.hi(j)` in
+    * every dimension `j`. A NaN coordinate compares false, so it matches no
+    * range (`Rect.contains` would count it in).
+    */
+  def moments(q: Rect): Moments = {
+    val n = size
+    if (n == 0) return Moments.empty
+    val c0    = cols(0)
+    val lo0   = q.lo(0); val hi0 = q.hi(0)
+    val from  = if (lo0.isNaN) n else LeafSample.firstNot(c0, 0, n, x => x < lo0)
+    val until = LeafSample.firstNot(c0, from, n, x => x < hi0) // NaN rows fail `<`
+    var k  = 0
+    var s1 = 0.0
+    var s2 = 0.0
+    var mn = Double.PositiveInfinity
+    var mx = Double.NegativeInfinity
+    var i  = from
+    if (cols.length == 1) {
+      while (i < until) {
+        val a = values(i)
+        s1 += a; s2 += a * a
+        if (a < mn) mn = a
+        if (a > mx) mx = a
+        i += 1
+      }
+      k = until - from
+    } else {
+      while (i < until) {
+        var j = 1
+        var in = true
+        while (in && j < cols.length) {
+          val x = cols(j)(i)
+          in = x >= q.lo(j) && x < q.hi(j)
+          j += 1
+        }
+        if (in) {
+          val a = values(i)
+          k += 1; s1 += a; s2 += a * a
+          if (a < mn) mn = a
+          if (a > mx) mx = a
+        }
+        i += 1
+      }
+    }
+    Moments(n, k, s1, s2, mn, mx)
+  }
 }
 object LeafSample {
-  val empty: LeafSample = LeafSample(Array.empty, Array.empty)
+  /** A sample over the given columns (`cols(j)(i)`: predicate `j` of row `i`)
+    * and values, with its rows sorted on `cols(0)`. The arrays are reordered
+    * in place and kept.
+    */
+  def apply(cols: Array[Array[Double]], values: Array[Double]): LeafSample = {
+    require(cols.forall(_.length == values.length), "column/value length mismatch")
+    if (values.nonEmpty) {
+      val perm = Array.range(0, values.length)
+      sortWithPerm(cols(0), perm, 0, perm.length)
+      for (c <- cols.iterator.drop(1) ++ Iterator(values)) {
+        val orig = c.clone()
+        var i = 0
+        while (i < perm.length) { c(i) = orig(perm(i)); i += 1 }
+      }
+    }
+    new LeafSample(cols, values)
+  }
+
+  /** First index in `[from, until)` where `p` fails, given that `p` holds on
+    * a prefix of that range and fails on the rest.
+    */
+  private def firstNot(a: Array[Double], from: Int, until: Int, p: Double => Boolean): Int = {
+    var lo = from; var hi = until
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (p(a(mid))) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
+
+  /** Sorts `keys(from until until)` in the order of `java.lang.Double.compare`
+    * (NaN last), applying the same swaps to `perm`: a quicksort with
+    * median-of-three pivots and insertion sort for short ranges.
+    */
+  private[core] def sortWithPerm(keys: Array[Double], perm: Array[Int], from: Int, until: Int): Unit = {
+    def swap(i: Int, j: Int): Unit = {
+      val k = keys(i); keys(i) = keys(j); keys(j) = k
+      val p = perm(i); perm(i) = perm(j); perm(j) = p
+    }
+    def cmp(i: Int, j: Int): Int = java.lang.Double.compare(keys(i), keys(j))
+    var lo = from; var hi = until
+    while (hi - lo > 16) {
+      val mid = (lo + hi) >>> 1
+      if (cmp(mid, lo) < 0) swap(mid, lo)
+      if (cmp(hi - 1, lo) < 0) swap(hi - 1, lo)
+      if (cmp(hi - 1, mid) < 0) swap(hi - 1, mid)
+      // pivot at hi-1 is the median; Hoare-style partition of [lo, hi-1)
+      swap(mid, hi - 1)
+      val pivot = keys(hi - 1)
+      var i = lo; var j = hi - 2
+      while (i <= j) {
+        while (java.lang.Double.compare(keys(i), pivot) < 0) i += 1
+        while (j >= lo && java.lang.Double.compare(keys(j), pivot) > 0) j -= 1
+        if (i <= j) { swap(i, j); i += 1; j -= 1 }
+      }
+      swap(i, hi - 1)
+      // recurse into the smaller side, loop on the larger
+      if (i - lo < hi - i - 1) { sortWithPerm(keys, perm, lo, i); lo = i + 1 }
+      else { sortWithPerm(keys, perm, i + 1, hi); hi = i }
+    }
+    var i = lo + 1
+    while (i < hi) {
+      var j = i
+      while (j > lo && cmp(j, j - 1) < 0) { swap(j, j - 1); j -= 1 }
+      i += 1
+    }
+  }
 }
 
 /** The PASS synopsis (Fig 2): a partition tree annotated with exact partition
@@ -21,7 +159,7 @@ object LeafSample {
   * @param lambda     CI multiplier (2.576 = 99%, the paper's default)
   * @param zeroVarRule whether AVG queries stop MCF early at min==max nodes
   */
-final class PassSynopsis(
+class PassSynopsis(
     val root: TreeNode,
     val leaves: Array[TreeNode],
     val samples: Array[LeafSample],
@@ -40,45 +178,19 @@ final class PassSynopsis(
     root.preorder.size.toLong * (2L * d + 4L) * 8L + storedSamples * (d + 1L) * 8L
   }
 
-  /** Per-stratum accumulator over one leaf sample restricted to the query. */
-  private final case class Moments(
-      ki: Int, kMatch: Int, sumMatch: Double, sumSqMatch: Double,
-      minMatch: Double, maxMatch: Double)
-
-  private def moments(leafId: Int, q: Rect): Moments = {
-    val s   = samples(leafId)
-    var i   = 0
-    var k   = 0
-    var s1  = 0.0
-    var s2  = 0.0
-    var mn  = Double.PositiveInfinity
-    var mx  = Double.NegativeInfinity
-    while (i < s.size) {
-      if (q.contains(s.coords(i))) {
-        val a = s.values(i)
-        k += 1; s1 += a; s2 += a * a
-        if (a < mn) mn = a
-        if (a > mx) mx = a
-      }
-      i += 1
-    }
-    Moments(s.size, k, s1, s2, mn, mx)
-  }
+  /** Moments of leaf `leafId`'s sample restricted to `q`: every answer reads
+    * the leaf samples through here (tests override it with a reference scan).
+    */
+  private[repro] def leafMoments(leafId: Int, q: Rect): Moments = samples(leafId).moments(q)
 
   /** Pooled moments over the descendant leaves of a (possibly internal) node —
     * used for 0-variance nodes, whose own sample lives at the leaves below.
     */
   private def pooledMoments(node: TreeNode, q: Rect): Moments = {
+    var m  = Moments.empty
     var id = node.leafLo
-    var ki = 0; var k = 0; var s1 = 0.0; var s2 = 0.0
-    var mn = Double.PositiveInfinity; var mx = Double.NegativeInfinity
-    while (id <= node.leafHi) {
-      val m = moments(id, q)
-      ki += m.ki; k += m.kMatch; s1 += m.sumMatch; s2 += m.sumSqMatch
-      mn = math.min(mn, m.minMatch); mx = math.max(mx, m.maxMatch)
-      id += 1
-    }
-    Moments(ki, k, s1, s2, mn, mx)
+    while (id <= node.leafHi) { m += leafMoments(id, q); id += 1 }
+    m
   }
 
   /** Finite-population correction (footnote 1). */
@@ -100,7 +212,7 @@ final class PassSynopsis(
     def sumLike(count: Boolean): (Double, Double) = {
       var est = 0.0; var variance = 0.0
       for (leafNode <- f.partial) {
-        val m = moments(leafNode.leafId, q)
+        val m = leafMoments(leafNode.leafId, q)
         processed += m.ki
         if (m.ki > 0) {
           val ni   = leafNode.count
@@ -138,7 +250,7 @@ final class PassSynopsis(
         var estSum = coverSum; var estCnt = coverCnt.toDouble
         val strata = scala.collection.mutable.ArrayBuffer.empty[(Double, Double, Int)] // (Ĉ_i, varMatch, kMatch)
         for (leafNode <- f.partial) {
-          val m = moments(leafNode.leafId, q)
+          val m = leafMoments(leafNode.leafId, q)
           processed += m.ki
           if (m.ki > 0 && m.kMatch > 0) {
             val cHat  = leafNode.count.toDouble * m.kMatch / m.ki
@@ -181,7 +293,7 @@ final class PassSynopsis(
         var est = f.cover.iterator.map(_.min).foldLeft(Double.PositiveInfinity)(math.min)
         var lb  = est
         for (leafNode <- f.partial) {
-          val m = moments(leafNode.leafId, q)
+          val m = leafMoments(leafNode.leafId, q)
           processed += m.ki
           if (m.kMatch > 0) est = math.min(est, m.minMatch)
           lb = math.min(lb, leafNode.min)
@@ -193,7 +305,7 @@ final class PassSynopsis(
         var est = f.cover.iterator.map(_.max).foldLeft(Double.NegativeInfinity)(math.max)
         var ub  = est
         for (leafNode <- f.partial) {
-          val m = moments(leafNode.leafId, q)
+          val m = leafMoments(leafNode.leafId, q)
           processed += m.ki
           if (m.kMatch > 0) est = math.max(est, m.maxMatch)
           ub = math.max(ub, leafNode.max)

@@ -52,9 +52,10 @@ class PassBuilderSpec extends SparkSpec {
 
   test("every stratified sample lies inside its leaf bounds") {
     val syn = buildAdp().synopsis
-    for (l <- syn.leaves; i <- 0 until syn.samples(l.leafId).size)
-      assert(l.bounds.contains(syn.samples(l.leafId).coords(i)),
-             s"sample outside leaf ${l.bounds}")
+    for (l <- syn.leaves; row <- syn.samples(l.leafId).coords)
+      assert(l.bounds.contains(row), s"sample outside leaf ${l.bounds}")
+    for (s <- syn.samples if s.size > 1; i <- 1 until s.size)
+      assert(java.lang.Double.compare(s.cols(0)(i - 1), s.cols(0)(i)) <= 0, "sample not sorted on column 0")
   }
 
   test("Rate allocation draws approximately rate * N_i per leaf") {

@@ -46,7 +46,7 @@ object TestSynopses {
       val chosen =
         if (samplesPerLeaf <= 0 || samplesPerLeaf >= idx.length) idx
         else rnd.shuffle(idx.toSeq).take(samplesPerLeaf).toArray
-      LeafSample(chosen.map(i => Array(cs(i))), chosen.map(as))
+      LeafSample(Array(chosen.map(cs)), chosen.map(as))
     }
     val root = PartitionTree.build1D(leaves)
     new PassSynopsis(root, leaves, samples, cs.length.toLong, lambda, zeroVarRule)
