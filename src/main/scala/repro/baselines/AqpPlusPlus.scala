@@ -16,14 +16,14 @@ final class PrecompUniformSynopsis(
     val sampleValues: Array[Double],
     val totalRows: Long,
     val lambda: Double = 2.576,
-) extends Serializable {
+) extends Synopsis with Serializable {
   def k: Int = sampleValues.length
   def storageBytes: Long =
     root.preorder.size.toLong * (2L * root.bounds.dims + 4L) * 8L +
       k.toLong * (root.bounds.dims + 1L) * 8L
 
   /** Moments of the uniform sample restricted to the gap `q \ cover`. */
-  private def gapMoments(q: Rect, cover: Seq[TreeNode]): Moments = {
+  private def gapMoments(q: Rect, cover: collection.Seq[TreeNode]): Moments = {
     var i = 0; var kM = 0; var s1 = 0.0; var s2 = 0.0
     var mn = Double.PositiveInfinity; var mx = Double.NegativeInfinity
     while (i < sampleValues.length) {
@@ -39,56 +39,14 @@ final class PrecompUniformSynopsis(
     Moments(sampleValues.length, kM, s1, s2, mn, mx)
   }
 
+  /** The cover is exact; the gap is one stratum of all `totalRows` rows. */
   def answer(q: Rect, agg: Agg): Estimate = {
     val f = PartitionTree.mcf(root, q)
-    val coverSum = f.cover.iterator.map(_.sum).sum
-    val coverCnt = f.cover.iterator.map(_.count).sum
+    val s = new Strata(agg)
+    for (n <- f.cover) s.cover(n.sum, n.count, n.min, n.max)
+    s.sampled(totalRows, gapMoments(q, f.cover))
     val partialRows = f.partial.iterator.map(_.count).sum
-    val skipRate = if (totalRows == 0) 1.0 else 1.0 - partialRows.toDouble / totalRows
-    val m = gapMoments(q, f.cover.toSeq)
-
-    def scaled(s1: Double, s2: Double): (Double, Double) = {
-      if (m.ki == 0) (0.0, 0.0)
-      else {
-        val mean   = s1 / m.ki
-        val varPhi = math.max(0.0, s2 / m.ki - mean * mean)
-        val est    = totalRows.toDouble / m.ki * s1
-        val se2 = SampleStats.fpc(totalRows, m.ki) *
-          totalRows.toDouble * totalRows * varPhi / m.ki
-        (est, se2)
-      }
-    }
-
-    agg match {
-      case Agg.Sum =>
-        val (gapEst, se2) = scaled(m.sumMatch, m.sumSqMatch)
-        Estimate(coverSum + gapEst, lambda * math.sqrt(se2), processedSamples = m.ki.toLong.max(k))
-      case Agg.Count =>
-        val (gapEst, se2) = scaled(m.kMatch.toDouble, m.kMatch.toDouble)
-        Estimate(coverCnt + gapEst, lambda * math.sqrt(se2), processedSamples = k)
-      case Agg.Avg =>
-        val gapCnt = if (m.ki == 0) 0.0 else totalRows.toDouble * m.kMatch / m.ki
-        val estCnt = coverCnt + gapCnt
-        if (estCnt == 0) Estimate(Double.NaN, Double.NaN, processedSamples = k)
-        else {
-          val gapMean = if (m.kMatch == 0) 0.0 else m.sumMatch / m.kMatch
-          val value   = (coverSum + gapCnt * gapMean) / estCnt
-          val varM =
-            if (m.kMatch == 0) 0.0
-            else math.max(0.0, m.sumSqMatch / m.kMatch - gapMean * gapMean)
-          val w   = gapCnt / estCnt
-          val se2 = if (m.kMatch == 0) 0.0 else w * w * varM / m.kMatch
-          Estimate(value, lambda * math.sqrt(se2), processedSamples = k)
-        }
-      case Agg.Min =>
-        val cm  = f.cover.iterator.map(_.min).foldLeft(Double.PositiveInfinity)(math.min)
-        val est = if (m.kMatch > 0) math.min(cm, m.minMatch) else cm
-        Estimate(est, Double.NaN, processedSamples = k)
-      case Agg.Max =>
-        val cm  = f.cover.iterator.map(_.max).foldLeft(Double.NegativeInfinity)(math.max)
-        val est = if (m.kMatch > 0) math.max(cm, m.maxMatch) else cm
-        Estimate(est, Double.NaN, processedSamples = k)
-    }
+    s.estimate(lambda, skipRate = if (totalRows == 0) 1.0 else 1.0 - partialRows.toDouble / totalRows)
   }
 }
 
@@ -171,7 +129,7 @@ object AqpPlusPlus {
     val r = PassBuilder.build(df, predCols, aggCol,
       PassBuilder.Cuts1D(cuts), PassBuilder.PerLeaf(0), optSampleSize, lambda, seed)
     val (us, _) = UniformSampling.build(df, predCols, aggCol, totalSamples.toInt, lambda, seed + 13)
-    val syn = new PrecompUniformSynopsis(r.synopsis.root, us.coords, us.values, p.totalRows, lambda)
+    val syn = new PrecompUniformSynopsis(r.synopsis.root, us.sample.coords, us.sample.values, p.totalRows, lambda)
     (syn, (System.nanoTime() - t0) / 1000000L)
   }
 
@@ -183,7 +141,7 @@ object AqpPlusPlus {
     val r = PassBuilder.build(df, predCols, aggCol,
       PassBuilder.KdBalanced(leaves), PassBuilder.PerLeaf(0), optSampleSize, lambda, seed)
     val (us, _) = UniformSampling.build(df, predCols, aggCol, totalSamples.toInt, lambda, seed + 13)
-    val syn = new PrecompUniformSynopsis(r.synopsis.root, us.coords, us.values, r.synopsis.totalRows, lambda)
+    val syn = new PrecompUniformSynopsis(r.synopsis.root, us.sample.coords, us.sample.values, r.synopsis.totalRows, lambda)
     (syn, (System.nanoTime() - t0) / 1000000L)
   }
 }

@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.DoubleType
-import repro.core.{Agg, Estimate, Rect}
+import repro.core.{Agg, Estimate, Rect, Synopsis}
 
 /** Equi-depth histogram over one column with per-bucket sums, supporting
   * `P(lo <= x < hi)` and `E[x · 1(lo <= x < hi)]` under a within-bucket
@@ -103,7 +103,7 @@ final class DeepDbLiteSynopsis(
     val totalRows: Long,
     val trainRows: Int,
     val aggCol: Int,
-) extends Serializable {
+) extends Synopsis with Serializable {
 
   def storageBytes: Long = {
     def size(n: SpnNode): Long = n match {

@@ -51,6 +51,30 @@ object Tables {
     bundle1D("NYC", Datasets.nycLite(spark, sf), "pickup_datetime", "trip_distance", queries),
   )
 
+  /** Builds a synopsis over a bundle; returns it with its build time in ms. */
+  type Builder = Bundle => (Synopsis, Long)
+
+  private def pass(part: Bundle => PassBuilder.Partitioner, alloc: Bundle => PassBuilder.Allocation): Builder = { b =>
+    val r = PassBuilder.build(b.df, b.predCols, b.aggCol, part(b), alloc(b), lambda = lambda, seed = seed)
+    (r.synopsis, r.buildMillis)
+  }
+
+  /** Builds every approach on every bundle, in that order, and scores each
+    * synopsis; returns per approach its mean build time in seconds and its
+    * scores in bundle order.
+    */
+  private def runAll[A](bs: Seq[Bundle], approaches: Seq[(String, Builder)])(
+      score: (Bundle, Synopsis) => A): Seq[(String, Double, Seq[A])] =
+    approaches.map { case (name, build) =>
+      var cost = 0.0
+      val scores = bs.map { b =>
+        val (syn, ms) = build(b)
+        cost += ms / 1000.0
+        score(b, syn)
+      }
+      (name, cost / bs.size, scores)
+    }
+
   // ------------------------------------------------------------------ Table 1
 
   final case class Table1Row(approach: String, costS: Double,
@@ -70,64 +94,21 @@ object Tables {
     val bs   = bundles1D(spark)
     val aggs = Seq(Agg.Count, Agg.Sum, Agg.Avg)
 
-    def metricsOf(b: Bundle, answer: (Rect, Agg) => Estimate): Map[(Agg, String), Double] =
-      aggs.map(a => (a, b.name) -> Harness.evaluate(answer, b.gt, b.queries, a).medianRelErr).toMap
-
-    def passVariant(alloc: Bundle => PassBuilder.Allocation): (Double, Map[(Agg, String), Double]) = {
-      var cost = 0.0
-      val re = bs.flatMap { b =>
-        val r = PassBuilder.build(b.df, b.predCols, b.aggCol,
-          PassBuilder.Adp1D(partitions, Agg.Sum), alloc(b), lambda = lambda, seed = seed)
-        cost += r.buildMillis / 1000.0
-        metricsOf(b, r.synopsis.answer)
-      }.toMap
-      (cost / bs.size, re)
-    }
-
-    val rows = scala.collection.mutable.ArrayBuffer.empty[Table1Row]
-
-    locally { // US
-      var cost = 0.0
-      val re = bs.flatMap { b =>
-        val (syn, ms) = UniformSampling.build(b.df, b.predCols, b.aggCol, b.k, lambda, seed)
-        cost += ms / 1000.0
-        metricsOf(b, syn.answer)
-      }.toMap
-      rows += Table1Row("US", cost / bs.size, re)
-    }
-    locally { // ST
-      var cost = 0.0
-      val re = bs.flatMap { b =>
-        val (syn, ms) = StratifiedSampling.build(b.df, b.predCols, b.aggCol, partitions, b.k,
-          lambda = lambda, seed = seed)
-        cost += ms / 1000.0
-        metricsOf(b, syn.answer)
-      }.toMap
-      rows += Table1Row("ST", cost / bs.size, re)
-    }
-    locally { // AQP++
-      var cost = 0.0
-      val re = bs.flatMap { b =>
-        val (syn, ms) = AqpPlusPlus.build(b.df, b.predCols, b.aggCol, partitions, b.k,
-          lambda = lambda, seed = seed)
-        cost += ms / 1000.0
-        metricsOf(b, syn.answer)
-      }.toMap
-      rows += Table1Row("AQP++", cost / bs.size, re)
-    }
-    locally { // PASS-ESS: rate scaled so processed tuples per query ≈ K
-      val essRate = math.min(0.5, sampleRate * partitions / 2.0)
-      val (cost, re) = passVariant(_ => PassBuilder.Rate(essRate))
-      rows += Table1Row("PASS-ESS", cost, re)
-    }
-    locally {
-      val (cost, re) = passVariant(b => PassBuilder.TotalBudget(2L * b.k))
-      rows += Table1Row("PASS-BSS2x", cost, re)
-    }
-    locally {
-      val (cost, re) = passVariant(b => PassBuilder.TotalBudget(10L * b.k))
-      rows += Table1Row("PASS-BSS10x", cost, re)
-    }
+    val adp: Bundle => PassBuilder.Partitioner = _ => PassBuilder.Adp1D(partitions, Agg.Sum)
+    val essRate = math.min(0.5, sampleRate * partitions / 2.0) // processed tuples per query ≈ K
+    val approaches: Seq[(String, Builder)] = Seq(
+      ("US", b => UniformSampling.build(b.df, b.predCols, b.aggCol, b.k, lambda, seed)),
+      ("ST", b => StratifiedSampling.build(b.df, b.predCols, b.aggCol, partitions, b.k,
+        lambda = lambda, seed = seed)),
+      ("AQP++", b => AqpPlusPlus.build(b.df, b.predCols, b.aggCol, partitions, b.k,
+        lambda = lambda, seed = seed)),
+      ("PASS-ESS", pass(adp, _ => PassBuilder.Rate(essRate))),
+      ("PASS-BSS2x", pass(adp, b => PassBuilder.TotalBudget(2L * b.k))),
+      ("PASS-BSS10x", pass(adp, b => PassBuilder.TotalBudget(10L * b.k))),
+    )
+    val rows = runAll(bs, approaches) { (b, syn) =>
+      aggs.map(a => (a, b.name) -> Harness.evaluate(syn.answer, b.gt, b.queries, a).medianRelErr)
+    }.map { case (name, cost, re) => Table1Row(name, cost, re.flatten.toMap) }
 
     val header = f"${"approach"}%-12s ${"cost"}%-16s " +
       aggs.flatMap(a => bs.map(b => f"${a.toString.toUpperCase}%s ${b.name}%s")).map(s => f"$s%-22s").mkString
@@ -143,7 +124,7 @@ object Tables {
     val text = ("Table 1 — median relative error, measured (paper)\n" + header + "\n" +
       lines.mkString("\n"))
     bs.foreach(_.df.unpersist())
-    (rows.toSeq, text)
+    (rows, text)
   }
 
   // ------------------------------------------------------------------ Table 2
@@ -186,57 +167,25 @@ object Tables {
     val bs      = bundlesTable2(spark, queries)
     val kdLeaves = math.max(64, math.min(1024, (bs.last.n / 3000L).toInt))
 
-    def evalAll(build: Bundle => (Rect => Estimate, Double, Double)): (Double, Double, Double, Map[String, Double]) = {
-      var lat = 0.0; var stor = 0.0; var cost = 0.0
-      val re = bs.map { b =>
-        val (answer, mb, sec) = build(b)
-        stor += mb; cost += sec
-        val m = Harness.evaluate((q, _) => answer(q), b.gt, b.queries, Agg.Sum)
-        lat += m.meanLatencyMs
-        b.name -> m.medianRelErr
-      }.toMap
-      (lat / bs.size, stor / bs.size, cost / bs.size, re)
-    }
-
-    def passRow(name: String, mult: Long): Table2Row = {
-      val (lat, stor, cost, re) = evalAll { b =>
-        val part: PassBuilder.Partitioner =
-          if (b.predCols.length == 1) PassBuilder.Adp1D(partitions, Agg.Sum)
-          else PassBuilder.KdGreedy(kdLeaves, Agg.Sum)
-        val r = PassBuilder.build(b.df, b.predCols, b.aggCol, part,
-          PassBuilder.TotalBudget(mult * b.k), lambda = lambda, seed = seed)
-        (q => r.synopsis.answer(q, Agg.Sum), r.synopsis.storageBytes / 1048576.0, r.buildMillis / 1000.0)
-      }
-      Table2Row(name, lat, stor, cost, re)
-    }
-
-    def verdictRow(name: String, ratio: Double): Table2Row = {
-      val (lat, stor, cost, re) = evalAll { b =>
-        val (syn, ms) = VerdictLite.build(b.df, b.predCols, b.aggCol, ratio, lambda, seed)
-        (q => syn.answer(q, Agg.Sum), syn.storageBytes / 1048576.0, ms / 1000.0)
-      }
-      Table2Row(name, lat, stor, cost, re)
-    }
-
-    def deepdbRow(name: String, ratio: Double): Table2Row = {
-      val (lat, stor, cost, re) = evalAll { b =>
-        // cap the training matrix so structure learning stays tractable at bench scale
-        val capRatio = math.min(ratio, 120000.0 / b.n)
-        val (syn, ms) = DeepDbLite.build(b.df, b.predCols, b.aggCol, capRatio, seed)
-        (q => syn.answer(q, Agg.Sum), syn.storageBytes / 1048576.0, ms / 1000.0)
-      }
-      Table2Row(name, lat, stor, cost, re)
-    }
-
-    val rows = Seq(
-      passRow("PASS-BSS1x", 1L),
-      passRow("PASS-BSS2x", 2L),
-      passRow("PASS-BSS10x", 10L),
-      verdictRow("VerdictDB-10%", 0.10),
-      verdictRow("VerdictDB-100%", 1.0),
-      deepdbRow("DeepDB-10%", 0.10),
-      deepdbRow("DeepDB-100%", 1.0),
+    val part: Bundle => PassBuilder.Partitioner = b =>
+      if (b.predCols.length == 1) PassBuilder.Adp1D(partitions, Agg.Sum)
+      else PassBuilder.KdGreedy(kdLeaves, Agg.Sum)
+    def bss(mult: Long): Builder = pass(part, b => PassBuilder.TotalBudget(mult * b.k))
+    def verdict(ratio: Double): Builder = b => VerdictLite.build(b.df, b.predCols, b.aggCol, ratio, lambda, seed)
+    // cap the training matrix so structure learning stays tractable at bench scale
+    def deepdb(ratio: Double): Builder = b =>
+      DeepDbLite.build(b.df, b.predCols, b.aggCol, math.min(ratio, 120000.0 / b.n), seed)
+    val approaches: Seq[(String, Builder)] = Seq(
+      ("PASS-BSS1x", bss(1L)), ("PASS-BSS2x", bss(2L)), ("PASS-BSS10x", bss(10L)),
+      ("VerdictDB-10%", verdict(0.10)), ("VerdictDB-100%", verdict(1.0)),
+      ("DeepDB-10%", deepdb(0.10)), ("DeepDB-100%", deepdb(1.0)),
     )
+    val rows = runAll(bs, approaches) { (b, syn) =>
+      val m = Harness.evaluate(syn.answer, b.gt, b.queries, Agg.Sum)
+      (b.name -> m.medianRelErr, m.meanLatencyMs, syn.storageBytes / 1048576.0)
+    }.map { case (name, cost, runs) =>
+      Table2Row(name, runs.map(_._2).sum / bs.size, runs.map(_._3).sum / bs.size, cost, runs.map(_._1).toMap)
+    }
 
     val names  = bs.map(_.name)
     val header = f"${"approach"}%-15s ${"latency"}%-18s ${"storage"}%-18s ${"build"}%-16s " +

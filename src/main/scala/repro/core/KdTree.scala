@@ -22,7 +22,10 @@ object KdTree {
     var splits: Array[Double]   = _
     var children: Array[KdNode] = _
     var leafId: Int             = -1
-    // construction-only fields (not needed after build; kept for tests)
+    // construction-time fields: `points` (the optimization-sample rows inside
+    // the node) drives the expansion and is cleared once the node splits;
+    // `score` is the leaf's approximate max variance, read by the expansion
+    // order and by callers that inspect a built tree
     @transient var points: Array[Int] = _
     @transient var score: Double      = 0.0
     def isLeaf: Boolean = children == null

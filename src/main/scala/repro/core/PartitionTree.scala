@@ -38,7 +38,8 @@ object PartitionTree {
   /** Builds a balanced binary tree bottom-up over 1-D leaves that are adjacent
     * in predicate order (Sec 4.1: "construct the full tree with a bottom-up
     * aggregation" — the tree shape only affects lookup cost, not accuracy).
-    * Leaf statistics must already be populated; internal stats are rolled up.
+    * Internal stats are rolled up from the leaves' current statistics; leaves
+    * populated later need a [[rollUpTree]].
     */
   def build1D(leaves: Array[TreeNode]): TreeNode = {
     require(leaves.nonEmpty, "no leaves")

@@ -124,6 +124,37 @@ object PassBuilder {
     Array.tabulate(leafCount)(id => LeafSample(cols(id), values(id)))
   }
 
+  /** A partitioner's output before any data pass: the unpopulated tree and
+    * its leaves by leaf id, the leaf-assignment function the Spark passes
+    * broadcast, and the optimizer's objective (NaN where none is computed).
+    */
+  private final case class Skeleton(
+      root: TreeNode, leaves: Array[TreeNode], assign: Array[Double] => Int, value: Double)
+
+  /** Runs the partitioning optimizer over the collected optimization sample. */
+  private def skeleton(partitioner: Partitioner, sampleRows: Array[Row], d: Int, dataRect: Rect): Skeleton = {
+    def points = sampleRows.map(r => Array.tabulate(d)(r.getDouble))
+    def values = sampleRows.map(_.getDouble(d))
+    def kd(built: KdTree.Built): Skeleton = {
+      val (root, leaves) = built.toTreeNodes
+      Skeleton(root, leaves, built.assign _, Double.NaN)
+    }
+    lazy val sorted = SortedSample1D(sampleRows.map(_.getDouble(0)), values)
+    def oneD(part: Dp1D.Partitioning1D): Skeleton = {
+      val leaves = leafRects1D(part.cuts, dataRect).zipWithIndex.map { case (r, i) => PartitionTree.leaf(r, i) }
+      Skeleton(PartitionTree.build1D(leaves), leaves, cutAssigner(part.cuts), part.value)
+    }
+    partitioner match {
+      case KdGreedy(k, agg, skew) => kd(KdTree.buildGreedy(points, values, k, agg, dataRect, skew))
+      case KdBalanced(k)          => kd(KdTree.buildBalanced(points, values, k, dataRect))
+      case other if d != 1        =>
+        throw new IllegalArgumentException(s"partitioner $other incompatible with d=$d")
+      case Adp1D(k, agg, dm)      => oneD(Dp1D.adp(sorted, k, agg, dm))
+      case EqualDepth1D(k)        => oneD(Dp1D.equalDepth(sorted, k))
+      case Cuts1D(cuts)           => oneD(Dp1D.Partitioning1D(Array.empty, cuts, Double.NaN))
+    }
+  }
+
   def build(
       df: DataFrame,
       predCols: Seq[String],
@@ -140,39 +171,12 @@ object PassBuilder {
     require(p.totalRows > 0, "cannot build a synopsis over an empty table")
     val sampleRows = optSample(p, optSampleSize, seed)
     val d          = predCols.length
-
-    // ---- partitioning optimization (driver, over the optimization sample) ----
-    val (leafSkeletons, assignFn, kdBuilt, partValue):
-        (Array[TreeNode], Array[Double] => Int, Option[KdTree.Built], Double) = partitioner match {
-      case p1: Partitioner if d == 1 && !p1.isInstanceOf[KdGreedy] && !p1.isInstanceOf[KdBalanced] =>
-        val cs = sampleRows.map(_.getDouble(0))
-        val as = sampleRows.map(_.getDouble(1))
-        val s  = SortedSample1D(cs, as)
-        val part = p1 match {
-          case Adp1D(k, agg, dm)  => Dp1D.adp(s, k, agg, dm)
-          case EqualDepth1D(k)    => Dp1D.equalDepth(s, k)
-          case Cuts1D(cuts)       => Dp1D.Partitioning1D(Array.empty, cuts, Double.NaN)
-          case other              => throw new IllegalArgumentException(s"$other is not 1-D")
-        }
-        val rects  = leafRects1D(part.cuts, p.dataRect)
-        val leaves = rects.zipWithIndex.map { case (r, i) => PartitionTree.leaf(r, i) }
-        (leaves, cutAssigner(part.cuts), None, part.value)
-      case KdGreedy(k, agg, skew) =>
-        val pts   = sampleRows.map(r => Array.tabulate(d)(r.getDouble))
-        val vals  = sampleRows.map(_.getDouble(d))
-        val built = KdTree.buildGreedy(pts, vals, k, agg, p.dataRect, skew)
-        (null, built.assign _, Some(built), Double.NaN)
-      case KdBalanced(k) =>
-        val pts   = sampleRows.map(r => Array.tabulate(d)(r.getDouble))
-        val vals  = sampleRows.map(_.getDouble(d))
-        val built = KdTree.buildBalanced(pts, vals, k, p.dataRect)
-        (null, built.assign _, Some(built), Double.NaN)
-      case other =>
-        throw new IllegalArgumentException(s"partitioner $other incompatible with d=$d")
-    }
+    val sk         = skeleton(partitioner, sampleRows, d, p.dataRect)
+    val leaves     = sk.leaves
 
     // ---- full-data passes: aggregates + stratified samples --------------------
-    val assignUdf = udf((xs: Seq[Double]) => assignFn(xs.toArray))
+    val assign    = sk.assign
+    val assignUdf = udf((xs: Seq[Double]) => assign(xs.toArray))
     val withLeaf = p.projected
       .withColumn("__leaf", assignUdf(array(predCols.map(col): _*)))
       .persist()
@@ -191,17 +195,10 @@ object PassBuilder {
           (r.getAs[Long]("cnt"), r.getAs[Double]("sm"), r.getAs[Double]("mn"), r.getAs[Double]("mx"))
       ).toMap
 
-      val (root, leaves): (TreeNode, Array[TreeNode]) = kdBuilt match {
-        case Some(built) => built.toTreeNodes
-        case None        => (null, leafSkeletons) // tree built after stats below
-      }
       for (l <- leaves) statMap.get(l.leafId).foreach { case (c, s, mn, mx) =>
         l.count = c; l.sum = s; l.min = mn; l.max = mx
       }
-      val tree = kdBuilt match {
-        case Some(_) => PartitionTree.rollUpTree(root); root
-        case None    => PartitionTree.build1D(leaves)
-      }
+      PartitionTree.rollUpTree(sk.root)
 
       val targets: Map[Int, Long] = alloc match {
         case PerLeaf(n)        => leaves.map(l => l.leafId -> n.toLong).toMap
@@ -216,8 +213,8 @@ object PassBuilder {
       val sampledRows = withLeaf.stat.sampleBy("__leaf", fractions, seed + 1).collect()
       val samples     = leafSamples(sampledRows, d, leaves.length)
 
-      val synopsis = new PassSynopsis(tree, leaves, samples, p.totalRows, lambda, zeroVarRule)
-      BuildResult(synopsis, (System.nanoTime() - t0) / 1000000L, sampleRows.length, partValue)
+      val synopsis = new PassSynopsis(sk.root, leaves, samples, p.totalRows, lambda, zeroVarRule)
+      BuildResult(synopsis, (System.nanoTime() - t0) / 1000000L, sampleRows.length, sk.value)
     } finally withLeaf.unpersist()
   }
 }

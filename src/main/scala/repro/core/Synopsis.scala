@@ -148,6 +148,14 @@ object LeafSample {
   }
 }
 
+/** An approximate-query synopsis: answers SUM/COUNT/AVG/MIN/MAX over a
+  * rectangular predicate and reports its own footprint.
+  */
+trait Synopsis {
+  def answer(q: Rect, agg: Agg): Estimate
+  def storageBytes: Long
+}
+
 /** The PASS synopsis (Fig 2): a partition tree annotated with exact partition
   * aggregates plus per-leaf stratified samples, answering SUM/COUNT/AVG/MIN/MAX
   * with predicates via MCF + partial aggregation + sample estimation (Sec 3.3).
@@ -166,7 +174,7 @@ class PassSynopsis(
     val totalRows: Long,
     val lambda: Double = 2.576,
     val zeroVarRule: Boolean = true,
-) extends Serializable {
+) extends Synopsis with Serializable {
   require(leaves.length == samples.length, "leaf/sample count mismatch")
 
   /** Total sampled tuples stored (synopsis size accounting, BSS denominator). */
@@ -193,124 +201,51 @@ class PassSynopsis(
     m
   }
 
-  /** Finite-population correction (footnote 1). */
-  private def fpc(ni: Long, ki: Int): Double =
-    if (ni <= 1) 0.0 else math.max(0.0, (ni - ki).toDouble / (ni - 1).toDouble)
-
-  /** Answers one aggregate query. See `Estimate` for field semantics. */
+  /** Answers one aggregate query. See `Estimate` for field semantics. The
+    * covered nodes are exact, partial leaves are sampled strata and
+    * 0-variance nodes are strata of known value; the hard bounds (Sec 2.3)
+    * come from the aggregates of the partial and 0-variance nodes.
+    */
   def answer(q: Rect, agg: Agg): Estimate = {
     val f = PartitionTree.mcf(root, q, zeroVarRule = zeroVarRule && agg == Agg.Avg)
-    val coverSum = f.cover.iterator.map(_.sum).sum
-    val coverCnt = f.cover.iterator.map(_.count).sum
-    val partialRows = f.partial.iterator.map(_.count).sum +
-      f.zeroVar.iterator.map(_.count).sum
+    val s = new Strata(agg)
+    for (n <- f.cover) s.cover(n.sum, n.count, n.min, n.max)
+    for (n <- f.partial) s.sampled(n.count, leafMoments(n.leafId, q))
+    for (n <- f.zeroVar) s.known(n.count, pooledMoments(n, q), n.min)
+    val partialRows = f.partial.iterator.map(_.count).sum + f.zeroVar.iterator.map(_.count).sum
     val skipRate = if (totalRows == 0) 1.0 else 1.0 - partialRows.toDouble / totalRows
-    var processed = 0L
-
-    // Per-partial-leaf estimated contribution and estimator variance for the
-    // SUM estimator `(N_i/K_i)·Σ_match a` (COUNT is SUM over a = 1).
-    def sumLike(count: Boolean): (Double, Double) = {
-      var est = 0.0; var variance = 0.0
-      for (leafNode <- f.partial) {
-        val m = leafMoments(leafNode.leafId, q)
-        processed += m.ki
-        if (m.ki > 0) {
-          val ni   = leafNode.count
-          val s1   = if (count) m.kMatch.toDouble else m.sumMatch
-          val s2   = if (count) m.kMatch.toDouble else m.sumSqMatch
-          val mean = s1 / m.ki
-          val varPhi = math.max(0.0, s2 / m.ki - mean * mean)
-          est += ni.toDouble / m.ki * s1
-          variance += fpc(ni, m.ki) * ni.toDouble * ni * varPhi / m.ki
-        }
-      }
-      (est, variance)
-    }
-
+    val coverSum = s.coverSum
+    val coverCnt = s.coverCount
+    var lb = Double.NaN
+    var ub = Double.NaN
     agg match {
-      case Agg.Sum =>
-        val (est, variance) = sumLike(count = false)
-        val value = coverSum + est
-        // hard bounds (Sec 2.3), generalized for possibly-negative values
-        var lb = coverSum; var ub = coverSum
+      case Agg.Sum => // generalized for possibly-negative values
+        lb = coverSum; ub = coverSum
         for (n <- f.partial.iterator ++ f.zeroVar.iterator) {
           lb += (if (n.min >= 0) 0.0 else n.count * math.min(0.0, n.min))
           ub += (if (n.min >= 0) n.sum else n.count * math.max(0.0, n.max))
         }
-        Estimate(value, lambda * math.sqrt(variance), lb, ub, processed, skipRate)
-
       case Agg.Count =>
-        val (est, variance) = sumLike(count = true)
-        val value = coverCnt + est
-        val ub    = coverCnt.toDouble + f.partial.iterator.map(_.count).sum
-        Estimate(value, lambda * math.sqrt(variance), coverCnt.toDouble, ub, processed, skipRate)
-
+        lb = coverCnt.toDouble
+        ub = coverCnt.toDouble + f.partial.iterator.map(_.count).sum
       case Agg.Avg =>
-        // ratio estimator: exact covered parts + per-stratum sample estimates
-        var estSum = coverSum; var estCnt = coverCnt.toDouble
-        val strata = scala.collection.mutable.ArrayBuffer.empty[(Double, Double, Int)] // (Ĉ_i, varMatch, kMatch)
-        for (leafNode <- f.partial) {
-          val m = leafMoments(leafNode.leafId, q)
-          processed += m.ki
-          if (m.ki > 0 && m.kMatch > 0) {
-            val cHat  = leafNode.count.toDouble * m.kMatch / m.ki
-            val meanM = m.sumMatch / m.kMatch
-            val varM  = math.max(0.0, m.sumSqMatch / m.kMatch - meanM * meanM)
-            estSum += cHat * meanM
-            estCnt += cHat
-            strata += ((cHat, varM, m.kMatch))
-          }
-        }
-        for (node <- f.zeroVar) { // Sec 3.4: value exactly known, variance 0
-          val m = pooledMoments(node, q)
-          processed += m.ki
-          if (m.ki > 0 && m.kMatch > 0) {
-            val cHat = node.count.toDouble * m.kMatch / m.ki
-            estSum += cHat * node.min
-            estCnt += cHat
-          }
-        }
-        val value = if (estCnt == 0) Double.NaN else estSum / estCnt
-        val se2 = strata.iterator.map { case (cHat, varM, kM) =>
-          val w = cHat / estCnt
-          w * w * varM / kM
-        }.sum
-        // hard bounds (Sec 2.3)
-        val coveredAvg =
-          if (coverCnt > 0) coverSum / coverCnt else Double.NaN
+        val coveredAvg     = if (coverCnt > 0) coverSum / coverCnt else Double.NaN
         val partialExtrema = (f.partial.iterator ++ f.zeroVar.iterator).toSeq
-        val lb =
+        lb =
           if (partialExtrema.isEmpty) coveredAvg
           else if (coverCnt == 0) partialExtrema.map(_.min).min
           else math.min(coveredAvg, partialExtrema.map(_.min).min)
-        val ub =
+        ub =
           if (partialExtrema.isEmpty) coveredAvg
           else if (coverCnt == 0) partialExtrema.map(_.max).max
           else math.max(coveredAvg, partialExtrema.map(_.max).max)
-        Estimate(value, lambda * math.sqrt(se2), lb, ub, processed, skipRate)
-
-      case Agg.Min =>
-        var est = f.cover.iterator.map(_.min).foldLeft(Double.PositiveInfinity)(math.min)
-        var lb  = est
-        for (leafNode <- f.partial) {
-          val m = leafMoments(leafNode.leafId, q)
-          processed += m.ki
-          if (m.kMatch > 0) est = math.min(est, m.minMatch)
-          lb = math.min(lb, leafNode.min)
-        }
-        // the observed minimum can only overestimate the true minimum
-        Estimate(est, Double.NaN, lb, est, processed, skipRate)
-
+      case Agg.Min => // the observed minimum can only overestimate the true minimum
+        lb = (f.cover.iterator ++ f.partial.iterator).map(_.min).foldLeft(Double.PositiveInfinity)(math.min)
+        ub = s.observedMin
       case Agg.Max =>
-        var est = f.cover.iterator.map(_.max).foldLeft(Double.NegativeInfinity)(math.max)
-        var ub  = est
-        for (leafNode <- f.partial) {
-          val m = leafMoments(leafNode.leafId, q)
-          processed += m.ki
-          if (m.kMatch > 0) est = math.max(est, m.maxMatch)
-          ub = math.max(ub, leafNode.max)
-        }
-        Estimate(est, Double.NaN, est, ub, processed, skipRate)
+        lb = s.observedMax
+        ub = (f.cover.iterator ++ f.partial.iterator).map(_.max).foldLeft(Double.NegativeInfinity)(math.max)
     }
+    s.estimate(lambda, lb, ub, skipRate)
   }
 }

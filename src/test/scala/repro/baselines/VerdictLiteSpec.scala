@@ -46,7 +46,7 @@ class VerdictLiteSpec extends SparkSpec {
   test("10% scramble is noisier than 100% but unbiased-ish") {
     val (s10, _)  = VerdictLite.build(df, Seq("product_id"), "reordered", 0.10, seed = 5)
     val (s100, _) = VerdictLite.build(df, Seq("product_id"), "reordered", 1.0, seed = 5)
-    def medRe(syn: VerdictLiteSynopsis): Double = {
+    def medRe(syn: UniformSampleSynopsis): Double = {
       val errs = queries(2, 40).flatMap { q =>
         val truth = gt.answer(q, Agg.Sum)
         if (truth.isNaN || truth == 0) None
@@ -64,6 +64,6 @@ class VerdictLiteSpec extends SparkSpec {
     val (s10, _)  = VerdictLite.build(df, Seq("product_id"), "reordered", 0.10, seed = 7)
     val (s100, _) = VerdictLite.build(df, Seq("product_id"), "reordered", 1.0, seed = 7)
     assert(s100.storageBytes > 5L * s10.storageBytes)
-    assert(math.abs(s100.rows - gt.n) < gt.n * 0.01)
+    assert(math.abs(s100.k - gt.n) < gt.n * 0.01)
   }
 }
