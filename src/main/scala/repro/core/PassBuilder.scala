@@ -15,8 +15,13 @@ import org.apache.spark.sql.types.DoubleType
   *  4. one `stat.sampleBy(leafId, fractions)` pass for the per-leaf stratified
   *     samples.
   *
-  * The leaf-id assignment is a deterministic UDF over the predicate columns
-  * (broadcast cut table / kd skeleton).
+  * The leaf id is one deterministic, typed UDF over `struct(predCols)` for
+  * every partitioner (the cut table or kd skeleton travels in its closure),
+  * evaluated afresh in passes 3 and 4. The builder caches nothing: it reads
+  * `df` four times, so callers should cache `df` themselves. A row with a
+  * NULL or NaN predicate value matches no range: it is left out of the data
+  * box, the optimization sample, the leaf aggregates and the samples, and
+  * counted only in N.
   */
 object PassBuilder {
 
@@ -57,12 +62,16 @@ object PassBuilder {
   )
 
   /** Casts the relevant columns to double and computes N and the per-dimension
-    * data bounding box (hi edges nudged up so the box is half-open-inclusive).
+    * data bounding box over the non-NaN values (hi edges nudged up so the box
+    * is half-open-inclusive). N counts every row, NULL or NaN predicates too.
     */
   private[repro] def prepare(df: DataFrame, predCols: Seq[String], aggCol: String): Prepared = {
     val cols      = (predCols :+ aggCol).map(c => col(c).cast(DoubleType).as(c))
     val projected = df.select(cols: _*)
-    val aggs = predCols.flatMap(c => Seq(min(col(c)).as(s"min_$c"), max(col(c)).as(s"max_$c"))) :+
+    val aggs = predCols.flatMap { c =>
+      val x = when(!isnan(col(c)), col(c))
+      Seq(min(x).as(s"min_$c"), max(x).as(s"max_$c"))
+    } :+
       count(lit(1)).as("n")
     val row = projected.agg(aggs.head, aggs.tail: _*).collect()(0)
     val n   = row.getAs[Long]("n")
@@ -74,11 +83,14 @@ object PassBuilder {
   /** Collects a uniform optimization sample of ~`target` rows to the driver.
     * Oversampled collections are thinned by stride, not prefix — collect order
     * follows the data order, so `take(target)` would drop the range's tail and
-    * bias every downstream cut.
+    * bias every downstream cut. Rows with a NULL or NaN predicate are dropped
+    * after the draw, on the driver, so a clean table's sample is unchanged.
     */
   private[repro] def optSample(p: Prepared, target: Int, seed: Long): Array[Row] = {
     val frac = if (p.totalRows == 0) 1.0 else math.min(1.0, target * 1.2 / p.totalRows)
+    val d    = p.dataRect.dims
     val rows = p.projected.sample(withReplacement = false, frac, seed).collect()
+      .filter(r => (0 until d).forall(j => !r.isNullAt(j) && !r.getDouble(j).isNaN))
     if (rows.length <= target) rows
     else {
       val step = rows.length.toDouble / target
@@ -128,11 +140,11 @@ object PassBuilder {
     * its leaves by leaf id, the leaf-assignment function the Spark passes
     * broadcast, and the optimizer's objective (NaN where none is computed).
     */
-  private final case class Skeleton(
+  private[repro] final case class Skeleton(
       root: TreeNode, leaves: Array[TreeNode], assign: Array[Double] => Int, value: Double)
 
   /** Runs the partitioning optimizer over the collected optimization sample. */
-  private def skeleton(partitioner: Partitioner, sampleRows: Array[Row], d: Int, dataRect: Rect): Skeleton = {
+  private[repro] def skeleton(partitioner: Partitioner, sampleRows: Array[Row], d: Int, dataRect: Rect): Skeleton = {
     def points = sampleRows.map(r => Array.tabulate(d)(r.getDouble))
     def values = sampleRows.map(_.getDouble(d))
     def kd(built: KdTree.Built): Skeleton = {
@@ -155,6 +167,63 @@ object PassBuilder {
     }
   }
 
+  /** Exact aggregates of one leaf: (count, sum, min, max) of the aggregate column. */
+  private[repro] type LeafStat = (Long, Double, Double, Double)
+
+  /** The two full-data passes, each over `p.projected` with the leaf id
+    * evaluated afresh (nothing is cached): one `groupBy(__leaf)` aggregate for
+    * the exact leaf statistics, then one `sampleBy(__leaf)` for the stratified
+    * sample rows (the `d` predicate columns, the aggregate column, the leaf
+    * id). The leaf id is a typed UDF over `struct(predCols)` that copies the
+    * coordinates into a length-`d` array for `sk.assign`. A row with a NULL or
+    * NaN coordinate matches no range and gets id -1: its group is skipped and
+    * `fractions` has no -1 key, so it is never sampled. (A filter on `__leaf`
+    * would be pushed below the projection and evaluate the UDF twice.)
+    */
+  private[repro] def leafPasses(p: Prepared, predCols: Seq[String], aggCol: String, sk: Skeleton,
+                                alloc: Allocation, seed: Long): (Map[Int, LeafStat], Array[Row]) = {
+    val d      = predCols.length
+    val assign = sk.assign
+    val leafId = udf { (r: Row) =>
+      val x = new Array[Double](d)
+      var j = 0
+      while (j < d && !r.isNullAt(j) && !r.getDouble(j).isNaN) { x(j) = r.getDouble(j); j += 1 }
+      if (j == d) assign(x) else -1
+    }
+    val withLeaf = p.projected.withColumn("__leaf", leafId(struct(predCols.map(col): _*)))
+    val stats = withLeaf
+      .groupBy("__leaf")
+      .agg(
+        count(col(aggCol)).as("cnt"),
+        sum(col(aggCol)).as("sm"),
+        min(col(aggCol)).as("mn"),
+        max(col(aggCol)).as("mx"),
+      )
+      .collect()
+      .collect { case r if r.getAs[Int]("__leaf") >= 0 =>
+        r.getAs[Int]("__leaf") ->
+          (r.getAs[Long]("cnt"), r.getAs[Double]("sm"), r.getAs[Double]("mn"), r.getAs[Double]("mx"))
+      }
+      .toMap
+    val fracs = fractions(sk.leaves.length, id => stats.get(id).fold(0L)(_._1), alloc)
+    (stats, withLeaf.stat.sampleBy("__leaf", fracs, seed + 1).collect())
+  }
+
+  /** `sampleBy` fractions by leaf id: the leaf's target sample size over its
+    * row count `count(id)`, capped at 1, and 0 for an empty leaf.
+    */
+  private def fractions(leafCount: Int, count: Int => Long, alloc: Allocation): Map[Int, Double] = {
+    def target(id: Int): Long = alloc match {
+      case PerLeaf(n)     => n.toLong
+      case TotalBudget(t) => math.max(1L, t / leafCount)
+      case Rate(r)        => math.max(1L, math.round(r * count(id)))
+    }
+    (0 until leafCount).map { id =>
+      val ni = count(id)
+      id -> (if (ni == 0) 0.0 else math.min(1.0, target(id).toDouble / ni))
+    }.toMap
+  }
+
   def build(
       df: DataFrame,
       predCols: Seq[String],
@@ -174,47 +243,13 @@ object PassBuilder {
     val sk         = skeleton(partitioner, sampleRows, d, p.dataRect)
     val leaves     = sk.leaves
 
-    // ---- full-data passes: aggregates + stratified samples --------------------
-    val assign    = sk.assign
-    val assignUdf = udf((xs: Seq[Double]) => assign(xs.toArray))
-    val withLeaf = p.projected
-      .withColumn("__leaf", assignUdf(array(predCols.map(col): _*)))
-      .persist()
-    try {
-      val statRows = withLeaf
-        .groupBy("__leaf")
-        .agg(
-          count(col(aggCol)).as("cnt"),
-          sum(col(aggCol)).as("sm"),
-          min(col(aggCol)).as("mn"),
-          max(col(aggCol)).as("mx"),
-        )
-        .collect()
-      val statMap = statRows.map(r =>
-        r.getAs[Int]("__leaf") ->
-          (r.getAs[Long]("cnt"), r.getAs[Double]("sm"), r.getAs[Double]("mn"), r.getAs[Double]("mx"))
-      ).toMap
-
-      for (l <- leaves) statMap.get(l.leafId).foreach { case (c, s, mn, mx) =>
-        l.count = c; l.sum = s; l.min = mn; l.max = mx
-      }
-      PartitionTree.rollUpTree(sk.root)
-
-      val targets: Map[Int, Long] = alloc match {
-        case PerLeaf(n)        => leaves.map(l => l.leafId -> n.toLong).toMap
-        case TotalBudget(t)    => leaves.map(l => l.leafId -> math.max(1L, t / leaves.length)).toMap
-        case Rate(r)           => leaves.map(l => l.leafId -> math.max(1L, math.round(r * l.count))).toMap
-      }
-      val fractions: Map[Int, Double] = leaves.map { l =>
-        val ni = l.count
-        l.leafId -> (if (ni == 0) 0.0 else math.min(1.0, targets(l.leafId).toDouble / ni))
-      }.toMap
-
-      val sampledRows = withLeaf.stat.sampleBy("__leaf", fractions, seed + 1).collect()
-      val samples     = leafSamples(sampledRows, d, leaves.length)
-
-      val synopsis = new PassSynopsis(sk.root, leaves, samples, p.totalRows, lambda, zeroVarRule)
-      BuildResult(synopsis, (System.nanoTime() - t0) / 1000000L, sampleRows.length, sk.value)
-    } finally withLeaf.unpersist()
+    val (stats, sampledRows) = leafPasses(p, predCols, aggCol, sk, alloc, seed)
+    for (l <- leaves) stats.get(l.leafId).foreach { case (c, s, mn, mx) =>
+      l.count = c; l.sum = s; l.min = mn; l.max = mx
+    }
+    PartitionTree.rollUpTree(sk.root)
+    val samples  = leafSamples(sampledRows, d, leaves.length)
+    val synopsis = new PassSynopsis(sk.root, leaves, samples, p.totalRows, lambda, zeroVarRule)
+    BuildResult(synopsis, (System.nanoTime() - t0) / 1000000L, sampleRows.length, sk.value)
   }
 }
